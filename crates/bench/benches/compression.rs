@@ -1,4 +1,5 @@
-//! Criterion bench: tile compression — SVD vs RSVD vs ACA per accuracy
+//! Criterion bench: tile compression — the production compressor (ACA,
+//! recompressed and residual-checked) vs the exact SVD oracle per accuracy
 //! threshold (DESIGN.md §4.3's ablation).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -24,11 +25,7 @@ fn bench_compression(c: &mut Criterion) {
         DistanceMetric::Euclidean,
         0.0,
     );
-    for method in [
-        CompressionMethod::Svd,
-        CompressionMethod::Rsvd,
-        CompressionMethod::Aca,
-    ] {
+    for method in [CompressionMethod::Svd, CompressionMethod::Aca] {
         for eps in [1e-5, 1e-9] {
             let label = format!("{method}-{eps:.0e}");
             group.bench_with_input(
@@ -41,6 +38,7 @@ fn bench_compression(c: &mut Criterion) {
                         black_box(
                             compress_kernel_block(&kernel, 3 * nb, nb, 0, nb, eps, method, &mut r)
                                 .unwrap()
+                                .tile
                                 .rank(),
                         )
                     });

@@ -2,9 +2,7 @@
 //! substitute layer) — GEMM, SYRK, TRSM, POTRF, QR, SVD at tile sizes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use exa_linalg::{
-    dgemm, dgeqrf, dpotrf, dsyrk, dtrsm, jacobi_svd, rsvd, Mat, RsvdOptions, Side, Trans,
-};
+use exa_linalg::{dgemm, dgeqrf, dpotrf, dsyrk, dtrsm, jacobi_svd, Mat, Side, Trans};
 use exa_util::Rng;
 use std::hint::black_box;
 
@@ -89,7 +87,7 @@ fn bench_kernels(c: &mut Criterion) {
             });
         });
     }
-    // SVD variants on a compressible tile (exact vs randomized).
+    // Exact SVD on a compressible tile.
     for &n in &[64usize, 128] {
         let mut rng = Rng::seed_from_u64(2);
         let u = Mat::gaussian(n, 8, &mut rng);
@@ -97,16 +95,6 @@ fn bench_kernels(c: &mut Criterion) {
         let a = u.matmul(&v.transposed());
         group.bench_with_input(BenchmarkId::new("jacobi_svd", n), &n, |bench, &n| {
             bench.iter(|| black_box(jacobi_svd(n, n, a.as_slice(), n).unwrap().rank()));
-        });
-        group.bench_with_input(BenchmarkId::new("rsvd", n), &n, |bench, &n| {
-            bench.iter(|| {
-                let mut r = Rng::seed_from_u64(3);
-                black_box(
-                    rsvd(n, n, a.as_slice(), n, 1e-9, RsvdOptions::default(), &mut r)
-                        .unwrap()
-                        .rank(),
-                )
-            });
         });
     }
     group.finish();

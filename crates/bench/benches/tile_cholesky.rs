@@ -49,7 +49,8 @@ fn bench_cholesky(c: &mut Criterion) {
     // TLR variant across accuracies (nb fixed at the larger TLR size).
     for eps in [1e-5, 1e-9] {
         let tlr =
-            TlrMatrix::from_kernel(&kernel, 128, eps, CompressionMethod::Rsvd, workers, 3).unwrap();
+            TlrMatrix::from_kernel(&kernel, 128, eps, CompressionMethod::default(), workers, 3)
+                .unwrap();
         let label = format!("{eps:.0e}");
         group.bench_with_input(BenchmarkId::new("tlr_acc", label), &eps, |b, _| {
             b.iter(|| {

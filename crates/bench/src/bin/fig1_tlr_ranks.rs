@@ -35,6 +35,7 @@ fn main() {
         "TLR bytes",
         "dense bytes",
         "compression",
+        "fallbacks",
         "assembly",
     ]);
     for eps in [1e-5, 1e-7, 1e-9, 1e-12] {
@@ -43,7 +44,7 @@ fn main() {
             &kernel,
             nb,
             eps,
-            CompressionMethod::Rsvd,
+            CompressionMethod::default(),
             args.workers,
             args.seed,
         )
@@ -58,6 +59,7 @@ fn main() {
             exa_util::table::format_bytes(tlr.bytes() as u64),
             exa_util::table::format_bytes(tlr.dense_bytes() as u64),
             format!("{:.2}x", tlr.compression_ratio()),
+            stats.fallbacks.to_string(),
             fmt_secs(dt),
         ]);
     }
@@ -68,7 +70,7 @@ fn main() {
         &kernel,
         nb,
         1e-9,
-        CompressionMethod::Rsvd,
+        CompressionMethod::default(),
         args.workers,
         args.seed,
     )

@@ -30,11 +30,12 @@ pub enum Backend {
 }
 
 impl Backend {
-    /// The TLR backend with the default (randomized SVD) compressor.
+    /// The TLR backend with the default compressor (ACA, recompressed and
+    /// residual-checked; see [`exa_tlr::compress`]).
     pub fn tlr(eps: f64) -> Backend {
         Backend::Tlr {
             eps,
-            method: CompressionMethod::Rsvd,
+            method: CompressionMethod::default(),
         }
     }
 }
@@ -55,7 +56,8 @@ impl std::fmt::Display for Backend {
 pub struct LikelihoodConfig {
     /// Tile size (the paper tunes 560 dense / 1900 TLR at cluster scale).
     pub nb: usize,
-    /// Random seed for the randomized compressor streams.
+    /// Seed of the TLR compressor's residual check: it draws each tile's
+    /// probe rows.
     pub seed: u64,
 }
 

@@ -283,7 +283,7 @@ impl<K: ParamCovariance> GeoModelBuilder<K> {
         self
     }
 
-    /// Seed for the randomized compressor streams.
+    /// Seed of the TLR residual check's probe rows ([`LikelihoodConfig::seed`]).
     pub fn seed(mut self, seed: u64) -> Self {
         self.config.seed = seed;
         self

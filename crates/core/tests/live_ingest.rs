@@ -210,11 +210,14 @@ fn predicts_never_block_or_tear_during_background_refit() {
     let reference = live.snapshot().predict(&q, &rt).unwrap().values;
 
     let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    // Readers that have served at least one predict.
+    let started = Arc::new(std::sync::atomic::AtomicUsize::new(0));
     let readers: Vec<_> = (0..3)
         .map(|_| {
             let live = live.clone();
             let q = q.clone();
             let stop = stop.clone();
+            let started = started.clone();
             std::thread::spawn(move || {
                 let rt = Runtime::new(1);
                 let mut served = 0usize;
@@ -225,11 +228,23 @@ fn predicts_never_block_or_tear_during_background_refit() {
                         .expect("predict during refit");
                     assert!(p.values.iter().all(|v| v.is_finite()));
                     served += 1;
+                    if served == 1 {
+                        started.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    }
                 }
                 served
             })
         })
         .collect();
+
+    // Every reader is serving before the first refit starts, so the refits
+    // below run under live readers (a reader that panicked first ends the
+    // wait; its join below reports the panic).
+    while started.load(std::sync::atomic::Ordering::Relaxed) < readers.len()
+        && !readers.iter().any(|r| r.is_finished())
+    {
+        std::thread::yield_now();
+    }
 
     // Interleave forced refits and incremental updates under the readers.
     for i in 0..4 {

@@ -1,9 +1,10 @@
 //! One-sided Jacobi singular value decomposition.
 //!
 //! Robust, simple, and accurate for the tile-sized problems (`nb ≲ 1000`) that
-//! TLR compression produces. The randomized path ([`crate::rsvd()`]) uses this
-//! as its inner small-factorization, and the compression tests use it as the
-//! reference truth.
+//! TLR compression produces. TLR recompression uses it on the small `k × k`
+//! core, and the exact path (test oracle and dense fallback) on whole tiles:
+//! with [`Cutoff::Absolute`] it keeps `σ_k > eps`, so the 2-norm error of the
+//! truncation is at most `eps`.
 
 use crate::blas1::{dot, nrm2};
 use crate::LinalgError;
@@ -110,6 +111,11 @@ fn jacobi_tall(m: usize, n: usize, a: &[f64], lda: usize) -> Result<SvdResult, L
         v[j + j * n] = 1.0;
     }
     let eps = f64::EPSILON * 8.0;
+    // A column whose squared norm is at the rounding level of the whole
+    // matrix has nothing a rotation can resolve: rotating it against a
+    // dominant column re-injects noise of its own size, so without this
+    // floor an exactly rank-deficient matrix never converges.
+    let noise = f64::EPSILON * f64::EPSILON * dot(&w, &w);
     let mut converged = false;
     for _sweep in 0..MAX_SWEEPS {
         let mut rotated = false;
@@ -120,7 +126,7 @@ fn jacobi_tall(m: usize, n: usize, a: &[f64], lda: usize) -> Result<SvdResult, L
                 let app = dot(cp, cp);
                 let aqq = dot(cq, cq);
                 let apq = dot(cp, cq);
-                if apq.abs() <= eps * (app * aqq).sqrt() || app == 0.0 || aqq == 0.0 {
+                if apq.abs() <= eps * (app * aqq).sqrt() || app <= noise || aqq <= noise {
                     continue;
                 }
                 rotated = true;
@@ -300,6 +306,24 @@ mod tests {
         for &sv in &svd.s[2..] {
             assert!(sv < 1e-10 * svd.s[0], "tail sv {sv}");
         }
+    }
+
+    #[test]
+    fn exactly_rank_one_square_matrix_converges() {
+        // Rotations against the dominant column leave rounding noise of
+        // order ε·‖A‖ in the others; chasing that noise never converges.
+        let n = 40;
+        let a = Mat::from_fn(n, n, |i, j| match (i, j) {
+            (0, 0) => 1e-12,
+            (0, _) | (_, 0) => 0.0,
+            _ if i < n - 2 => (1.0 + i as f64 / n as f64) * (2.0 - j as f64 / n as f64),
+            _ => 0.0,
+        });
+        let svd = jacobi_svd(n, n, a.as_slice(), n).unwrap();
+        assert!(svd.s[0] > 1.0);
+        assert!((svd.s[1] - 1e-12).abs() < 1e-14, "s[1] = {}", svd.s[1]);
+        let rec = svd.reconstruct();
+        assert!(rel_fro_diff(&rec, a.as_slice()) < 1e-12);
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //!   then rounds the rank back down with [`recompress`] (QR of both factors +
 //!   a small SVD at the same accuracy threshold).
 
+use crate::compress::svd_cut;
 use crate::lr::LrTile;
 use exa_linalg::{
     dgemm, dgeqrf, dorgqr, dtrsm, jacobi_svd, truncation_rank_cut, Cutoff, LinalgError, Side, Trans,
@@ -197,11 +198,7 @@ pub fn recompress(t: &mut LrTile, eps: f64) -> Result<(), LinalgError> {
     let (m, n) = (t.rows, t.cols);
     if r >= m.min(n) {
         // Dense fallback: materialize and re-compress exactly.
-        let dense = t.to_dense();
-        let mut svd = jacobi_svd(m, n, &dense, m)?;
-        let k = truncation_rank_cut(&svd.s, Cutoff::Absolute(eps));
-        svd.truncate(k);
-        *t = LrTile::from_svd(&svd);
+        *t = svd_cut(m, n, &t.to_dense(), m, eps)?;
         return Ok(());
     }
     // QR of U: U = Q_u R_u.

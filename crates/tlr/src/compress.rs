@@ -1,45 +1,65 @@
-//! Fixed-accuracy tile compression: SVD, randomized SVD, and ACA.
+//! Fixed-accuracy tile compression: ACA with verified recompression, and the
+//! exact SVD as its oracle.
 //!
-//! The paper (§V) lists the three compressors HiCMA supports; all three are
-//! provided here with the same contract: given a tile and a threshold `eps`,
-//! return `U·Vᵀ` with relative 2-norm error `≲ eps` and the smallest rank the
-//! method can find.
+//! The contract, for a tile `A` and threshold `eps`, is the exact SVD's
+//! absolute 2-norm cut: keep the singular values `σ_k > eps`, so
+//! `‖A − U·Vᵀ‖₂ ≤ eps` and `‖A − U·Vᵀ‖_F ≤ √min(m,n)·eps`.
 //!
-//! * [`CompressionMethod::Svd`] — exact Jacobi SVD, the reference truth.
-//! * [`CompressionMethod::Rsvd`] — adaptive randomized SVD (default; this is
-//!   what large dense tiles use).
-//! * [`CompressionMethod::Aca`] — adaptive cross approximation with partial
-//!   pivoting; needs only `O((m+n)·k)` *entry evaluations*, so the TLR
-//!   assembly can skip materializing dense off-diagonal tiles entirely.
+//! * [`CompressionMethod::Aca`] (default, the production compressor) meets it
+//!   in three steps:
+//!   1. [`aca`] — adaptive cross approximation with partial pivoting builds
+//!      the factors from `O((m+n)·k)` entry evaluations, with no dense
+//!      scratch tile;
+//!   2. [`recompress`] — QR of both factors plus an SVD of the small core
+//!      truncates at the same absolute cut (ACA alone overshoots the rank);
+//!   3. a sampled-residual check — `p = 8` rows drawn from the tile's RNG
+//!      estimate `‖A − U·Vᵀ‖_F ≈ √(m/p · Σ‖rᵢ‖²)`, compared with the
+//!      Frobenius bound above. ACA's stopping rule has no guarantee, so a tile that
+//!      fails the check is filled densely and cut by the exact SVD instead;
+//!      [`Compressed::fallback`] records that it did.
+//! * [`CompressionMethod::Svd`] — exact one-sided Jacobi SVD of the dense
+//!   fill, the reference the tests hold the production path to.
 
+use crate::arith::recompress;
 use crate::lr::LrTile;
 use exa_covariance::CovarianceKernel;
-use exa_linalg::{jacobi_svd, rsvd_cut, truncation_rank_cut, Cutoff, LinalgError, RsvdOptions};
+use exa_linalg::{axpy, jacobi_svd, truncation_rank_cut, Cutoff, LinalgError};
 use exa_util::Rng;
+
+/// Rows the residual check evaluates per tile (all rows of shorter tiles).
+const PROBE_ROWS: usize = 8;
 
 /// Which algorithm compresses a tile to the accuracy threshold.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum CompressionMethod {
-    /// Exact one-sided Jacobi SVD (most accurate, `O(m n²)`).
-    Svd,
-    /// Adaptive randomized SVD (Halko et al.), the default.
+    /// ACA → recompression → sampled-residual check, with the exact SVD as
+    /// the fallback for tiles that fail the check.
     #[default]
-    Rsvd,
-    /// Adaptive cross approximation with partial pivoting.
     Aca,
+    /// Exact one-sided Jacobi SVD (`O(m n²)`): the test oracle.
+    Svd,
 }
 
 impl std::fmt::Display for CompressionMethod {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CompressionMethod::Svd => write!(f, "SVD"),
-            CompressionMethod::Rsvd => write!(f, "RSVD"),
             CompressionMethod::Aca => write!(f, "ACA"),
+            CompressionMethod::Svd => write!(f, "SVD"),
         }
     }
 }
 
-/// Compresses a dense column-major `m × n` tile to relative accuracy `eps`.
+/// A compressed tile.
+#[derive(Clone, Debug)]
+pub struct Compressed {
+    pub tile: LrTile,
+    /// ACA's result failed the residual check and the tile was cut from its
+    /// dense fill instead.
+    pub fallback: bool,
+}
+
+/// Compresses a dense column-major `m × n` tile to absolute accuracy `eps`;
+/// `rng` draws the residual check's probe rows.
 pub fn compress_dense(
     m: usize,
     n: usize,
@@ -48,37 +68,26 @@ pub fn compress_dense(
     eps: f64,
     method: CompressionMethod,
     rng: &mut Rng,
-) -> Result<LrTile, LinalgError> {
-    assert!(eps > 0.0, "accuracy threshold must be positive");
-    match method {
-        CompressionMethod::Svd => {
-            let mut svd = jacobi_svd(m, n, a, lda)?;
-            let k = truncation_rank_cut(&svd.s, Cutoff::Absolute(eps));
-            svd.truncate(k);
-            Ok(LrTile::from_svd(&svd))
-        }
-        CompressionMethod::Rsvd => {
-            let svd = rsvd_cut(
-                m,
-                n,
-                a,
-                lda,
-                Cutoff::Absolute(eps),
-                RsvdOptions::default(),
-                rng,
-            )?;
-            Ok(LrTile::from_svd(&svd))
-        }
-        CompressionMethod::Aca => {
-            let entry = |i: usize, j: usize| a[i + j * lda];
-            Ok(aca(m, n, entry, eps))
-        }
-    }
+) -> Result<Compressed, LinalgError> {
+    compress(
+        m,
+        n,
+        |i, j| a[i + j * lda],
+        || {
+            (0..n)
+                .flat_map(|j| &a[j * lda..j * lda + m])
+                .copied()
+                .collect()
+        },
+        eps,
+        method,
+        rng,
+    )
 }
 
 /// Compresses the `nrows × ncols` block `Σ[row_off.., col_off..]` of a
-/// covariance kernel without materializing it densely (ACA), or through a
-/// dense scratch tile (SVD/RSVD).
+/// covariance kernel. ACA evaluates single entries; only the SVD oracle and
+/// the fallback fill the block densely.
 #[allow(clippy::too_many_arguments)]
 pub fn compress_kernel_block<K: CovarianceKernel>(
     kernel: &K,
@@ -89,26 +98,100 @@ pub fn compress_kernel_block<K: CovarianceKernel>(
     eps: f64,
     method: CompressionMethod,
     rng: &mut Rng,
-) -> Result<LrTile, LinalgError> {
-    match method {
-        CompressionMethod::Aca => {
-            let entry = |i: usize, j: usize| kernel.entry(row_off + i, col_off + j);
-            Ok(aca(nrows, ncols, entry, eps))
-        }
-        _ => {
+) -> Result<Compressed, LinalgError> {
+    compress(
+        nrows,
+        ncols,
+        |i, j| kernel.entry(row_off + i, col_off + j),
+        || {
             let mut dense = vec![0.0; nrows * ncols];
             kernel.fill_tile(row_off, nrows, col_off, ncols, &mut dense, nrows);
-            compress_dense(nrows, ncols, &dense, nrows, eps, method, rng)
+            dense
+        },
+        eps,
+        method,
+        rng,
+    )
+}
+
+/// The one compression path: `entry` serves ACA and the check, `fill` the
+/// dense `m × n` tile (leading dimension `m`) for the oracle and the fallback.
+fn compress(
+    m: usize,
+    n: usize,
+    entry: impl Fn(usize, usize) -> f64,
+    fill: impl FnOnce() -> Vec<f64>,
+    eps: f64,
+    method: CompressionMethod,
+    rng: &mut Rng,
+) -> Result<Compressed, LinalgError> {
+    assert!(eps > 0.0, "accuracy threshold must be positive");
+    if method == CompressionMethod::Aca {
+        let mut tile = aca(m, n, &entry, eps);
+        recompress(&mut tile, eps)?;
+        if residual_within_bound(&tile, &entry, eps, rng) {
+            return Ok(Compressed {
+                tile,
+                fallback: false,
+            });
         }
     }
+    Ok(Compressed {
+        tile: svd_cut(m, n, &fill(), m, eps)?,
+        fallback: method == CompressionMethod::Aca,
+    })
+}
+
+/// Exact SVD truncated at the absolute cut `σ_k > eps`.
+pub(crate) fn svd_cut(
+    m: usize,
+    n: usize,
+    a: &[f64],
+    lda: usize,
+    eps: f64,
+) -> Result<LrTile, LinalgError> {
+    let mut svd = jacobi_svd(m, n, a, lda)?;
+    svd.truncate(truncation_rank_cut(&svd.s, Cutoff::Absolute(eps)));
+    Ok(LrTile::from_svd(&svd))
+}
+
+/// Sampled-residual check: estimates `‖A − U·Vᵀ‖_F` from [`PROBE_ROWS`]
+/// distinct random rows (exactly, from all rows, on shorter tiles) and
+/// compares it with the Frobenius bound `√min(m,n)·eps` of the absolute cut.
+fn residual_within_bound(
+    t: &LrTile,
+    entry: impl Fn(usize, usize) -> f64,
+    eps: f64,
+    rng: &mut Rng,
+) -> bool {
+    let (m, n) = (t.rows, t.cols);
+    if m == 0 || n == 0 {
+        return true;
+    }
+    let rows = rng.sample_indices(m, PROBE_ROWS.min(m));
+    let mut sum = 0.0;
+    let mut r = vec![0.0; n];
+    for &i in &rows {
+        // rᵢ = A[i,:] − Σ_c U[i,c]·V[:,c].
+        for (j, x) in r.iter_mut().enumerate() {
+            *x = entry(i, j);
+        }
+        for (c, v) in t.v.chunks_exact(n).enumerate() {
+            axpy(-t.u[i + c * m], v, &mut r);
+        }
+        sum += r.iter().map(|x| x * x).sum::<f64>();
+    }
+    let estimate = (m as f64 / rows.len() as f64 * sum).sqrt();
+    estimate <= (m.min(n) as f64).sqrt() * eps
 }
 
 /// Adaptive cross approximation with partial pivoting (Bebendorf).
 ///
 /// Builds rank-1 cross updates `A ← A − u vᵀ` until the increment's 2-norm
 /// (`‖u‖·‖v‖`, the singular value of the rank-1 term) drops below the
-/// absolute threshold `eps` — the same fixed-accuracy semantics as the
-/// SVD-based compressors.
+/// absolute threshold `eps`. The rule is a heuristic: the result can keep
+/// more rank than needed (hence [`recompress`]) or stop early on a tile whose
+/// pivots miss its mass (hence the residual check).
 pub fn aca(m: usize, n: usize, entry: impl Fn(usize, usize) -> f64, eps: f64) -> LrTile {
     let max_rank = m.min(n);
     let mut us: Vec<Vec<f64>> = Vec::new();
@@ -192,15 +275,7 @@ pub fn aca(m: usize, n: usize, entry: impl Fn(usize, usize) -> f64, eps: f64) ->
     }
 
     let k = us.len();
-    let mut u = Vec::with_capacity(m * k);
-    let mut v = Vec::with_capacity(n * k);
-    for uc in &us {
-        u.extend_from_slice(uc);
-    }
-    for vc in &vs {
-        v.extend_from_slice(vc);
-    }
-    LrTile::from_factors(m, n, k, u, v)
+    LrTile::from_factors(m, n, k, us.concat(), vs.concat())
 }
 
 fn next_unused(used: &[bool]) -> Option<usize> {
@@ -208,7 +283,7 @@ fn next_unused(used: &[bool]) -> Option<usize> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use exa_covariance::{DistanceMetric, Location, MaternKernel, MaternParams};
     use exa_linalg::{frobenius_norm, Mat};
@@ -234,35 +309,53 @@ mod tests {
         Mat::from_fn(m, n, |i, j| kernel.entry(i, m + j))
     }
 
-    fn rel_error(a: &Mat, t: &LrTile) -> f64 {
-        let d = t.to_dense();
-        let mut diff = vec![0.0; d.len()];
-        for (x, (p, q)) in diff.iter_mut().zip(d.iter().zip(a.as_slice())) {
-            *x = p - q;
+    fn diff(a: &Mat, t: &LrTile) -> Vec<f64> {
+        let mut d = t.to_dense();
+        for (x, q) in d.iter_mut().zip(a.as_slice()) {
+            *x -= q;
         }
-        frobenius_norm(a.nrows(), a.ncols(), &diff, a.nrows())
+        d
+    }
+
+    fn rel_error(a: &Mat, t: &LrTile) -> f64 {
+        frobenius_norm(a.nrows(), a.ncols(), &diff(a, t), a.nrows())
             / frobenius_norm(a.nrows(), a.ncols(), a.as_slice(), a.nrows())
+    }
+
+    /// `‖A − U·Vᵀ‖₂`, the quantity the absolute cut bounds.
+    fn two_norm_error(a: &Mat, t: &LrTile) -> f64 {
+        let s = jacobi_svd(a.nrows(), a.ncols(), &diff(a, t), a.nrows())
+            .unwrap()
+            .s;
+        s.first().copied().unwrap_or(0.0)
+    }
+
+    fn compress_mat(a: &Mat, eps: f64, method: CompressionMethod, seed: u64) -> Compressed {
+        let mut rng = Rng::seed_from_u64(seed);
+        let (m, n) = (a.nrows(), a.ncols());
+        compress_dense(m, n, a.as_slice(), m, eps, method, &mut rng).unwrap()
     }
 
     #[test]
     fn all_methods_meet_threshold_on_covariance_tile() {
         let a = separated_covariance_tile(40, 36, 1);
-        for method in [
-            CompressionMethod::Svd,
-            CompressionMethod::Rsvd,
-            CompressionMethod::Aca,
-        ] {
+        for method in [CompressionMethod::Svd, CompressionMethod::Aca] {
             for eps in [1e-5, 1e-7, 1e-9] {
-                let mut rng = Rng::seed_from_u64(2);
-                let t = compress_dense(40, 36, a.as_slice(), 40, eps, method, &mut rng).unwrap();
-                let err = rel_error(&a, &t);
-                // ACA's stopping heuristic can overshoot slightly; allow 50×.
+                let c = compress_mat(&a, eps, method, 2);
+                let err = rel_error(&a, &c.tile);
+                // Both paths cut at the same absolute threshold now.
                 assert!(
-                    err <= 50.0 * eps,
+                    err <= 2.0 * eps,
                     "{method} eps={eps}: rel err {err}, rank {}",
-                    t.rank()
+                    c.tile.rank()
                 );
-                assert!(t.rank() < 20, "{method} rank {} not low", t.rank());
+                assert!(two_norm_error(&a, &c.tile) <= eps, "{method} eps={eps}");
+                assert!(
+                    c.tile.rank() < 20,
+                    "{method} rank {} not low",
+                    c.tile.rank()
+                );
+                assert!(!c.fallback, "{method} eps={eps} fell back");
             }
         }
     }
@@ -270,27 +363,8 @@ mod tests {
     #[test]
     fn lower_accuracy_gives_lower_rank() {
         let a = separated_covariance_tile(48, 48, 3);
-        let mut rng = Rng::seed_from_u64(4);
-        let loose = compress_dense(
-            48,
-            48,
-            a.as_slice(),
-            48,
-            1e-3,
-            CompressionMethod::Svd,
-            &mut rng,
-        )
-        .unwrap();
-        let tight = compress_dense(
-            48,
-            48,
-            a.as_slice(),
-            48,
-            1e-11,
-            CompressionMethod::Svd,
-            &mut rng,
-        )
-        .unwrap();
+        let loose = compress_mat(&a, 1e-3, CompressionMethod::Svd, 4).tile;
+        let tight = compress_mat(&a, 1e-11, CompressionMethod::Svd, 4).tile;
         assert!(loose.rank() <= tight.rank());
         assert!(loose.rank() >= 1);
     }
@@ -319,7 +393,7 @@ mod tests {
             DistanceMetric::Euclidean,
             0.0,
         );
-        let t = compress_kernel_block(
+        let c = compress_kernel_block(
             &kernel,
             0,
             25,
@@ -330,51 +404,60 @@ mod tests {
             &mut rng,
         )
         .unwrap();
+        assert!(!c.fallback, "the check must pass without the dense fill");
         let dense = Mat::from_fn(25, 30, |i, j| kernel.entry(i, 30 + j));
-        assert!(rel_error(&dense, &t) < 1e-4);
+        assert!(rel_error(&dense, &c.tile) < 1e-4);
     }
 
     #[test]
     fn zero_matrix_compresses_to_rank_zero() {
         let t = aca(10, 10, |_, _| 0.0, 1e-9);
         assert_eq!(t.rank(), 0);
-        let mut rng = Rng::seed_from_u64(7);
-        let z = vec![0.0; 100];
-        let t2 = compress_dense(10, 10, &z, 10, 1e-9, CompressionMethod::Svd, &mut rng).unwrap();
-        assert_eq!(t2.rank(), 0);
+        let z = Mat::zeros(10, 10);
+        for method in [CompressionMethod::Svd, CompressionMethod::Aca] {
+            let c = compress_mat(&z, 1e-9, method, 7);
+            assert_eq!(c.tile.rank(), 0, "{method}");
+            assert!(!c.fallback);
+        }
     }
 
     #[test]
-    fn svd_and_rsvd_agree_on_rank() {
+    fn default_compressor_matches_svd_rank() {
         let a = separated_covariance_tile(32, 32, 8);
-        let mut rng = Rng::seed_from_u64(9);
-        let s = compress_dense(
-            32,
-            32,
-            a.as_slice(),
-            32,
-            1e-7,
-            CompressionMethod::Svd,
-            &mut rng,
-        )
-        .unwrap();
-        let r = compress_dense(
-            32,
-            32,
-            a.as_slice(),
-            32,
-            1e-7,
-            CompressionMethod::Rsvd,
-            &mut rng,
-        )
-        .unwrap();
-        // RSVD may keep a few extra triplets but must be in the same regime.
-        assert!(r.rank() >= s.rank());
+        let s = compress_mat(&a, 1e-7, CompressionMethod::Svd, 9).tile;
+        let c = compress_mat(&a, 1e-7, CompressionMethod::default(), 9);
+        assert!(!c.fallback);
+        // Recompression cuts ACA's factors where the exact SVD cuts A.
         assert!(
-            r.rank() <= s.rank() + 8,
-            "svd {} rsvd {}",
+            c.tile.rank().abs_diff(s.rank()) <= 1,
+            "svd {} aca {}",
             s.rank(),
-            r.rank()
+            c.tile.rank()
         );
+    }
+
+    /// Plain partial-pivot ACA starts on row 0, whose only entry is 1e-12 in
+    /// a column the block below does not touch: the first cross is below
+    /// `eps` and ACA stops at rank 1, missing the O(1) rank-1 block.
+    pub(crate) fn planted_aca_miss(m: usize, n: usize) -> Mat {
+        Mat::from_fn(m, n, |i, j| match (i, j) {
+            (0, 0) => 1e-12,
+            (0, _) | (_, 0) => 0.0,
+            _ if i < m - 2 => (1.0 + i as f64 / m as f64) * (2.0 - j as f64 / n as f64),
+            _ => 0.0,
+        })
+    }
+
+    #[test]
+    fn planted_aca_miss_trips_the_check_and_falls_back() {
+        let a = planted_aca_miss(40, 30);
+        let eps = 1e-9;
+        let plain = aca(40, 30, |i, j| a[(i, j)], eps);
+        assert_eq!(plain.rank(), 1, "the planted tile must fool plain ACA");
+        assert!(two_norm_error(&a, &plain) > 1.0);
+        let c = compress_mat(&a, eps, CompressionMethod::Aca, 3);
+        assert!(c.fallback, "the residual check must catch the miss");
+        assert!(two_norm_error(&a, &c.tile) <= eps);
+        assert_eq!(c.tile.rank(), 1);
     }
 }

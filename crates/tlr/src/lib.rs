@@ -6,7 +6,8 @@
 //!
 //! * [`LrTile`] — the `U·Vᵀ` low-rank tile with growable rank.
 //! * [`compress_dense`]/[`compress_kernel_block`] — fixed-accuracy tile
-//!   compression by exact SVD, randomized SVD, or ACA
+//!   compression: ACA, recompressed and checked against the absolute cut on
+//!   sampled residual rows, with the exact SVD as oracle and fallback
 //!   ([`CompressionMethod`]).
 //! * [`TlrMatrix`] — symmetric TLR storage (dense diagonal + compressed
 //!   lower tiles) with rank statistics and memory accounting (Figure 1).
@@ -29,7 +30,7 @@ pub mod tlrmat;
 
 pub use arith::{lr_gemm, lr_syrk, lr_trsm, recompress};
 pub use chol::{tlr_factor_to_dense, tlr_logdet, tlr_potrf};
-pub use compress::{aca, compress_dense, compress_kernel_block, CompressionMethod};
+pub use compress::{aca, compress_dense, compress_kernel_block, Compressed, CompressionMethod};
 pub use lr::LrTile;
 pub use solve::{tlr_potrs, tlr_trsm};
 pub use tlrmat::{RankStats, TlrMatrix};

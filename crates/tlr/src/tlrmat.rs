@@ -8,7 +8,7 @@
 //! statistics and memory accounting here regenerate Figure 1's narrative and
 //! the memory-footprint claims of §VIII.
 
-use crate::compress::{compress_kernel_block, CompressionMethod};
+use crate::compress::{compress_kernel_block, Compressed, CompressionMethod};
 use crate::lr::LrTile;
 use exa_covariance::CovarianceKernel;
 use exa_linalg::{LinalgError, Mat};
@@ -32,6 +32,9 @@ pub struct TlrMatrix {
     /// Strictly-lower low-rank tiles, `low[j * nt + i]` for `i > j`; other
     /// slots hold default (empty) tiles and are never touched.
     low: Vec<LrTile>,
+    /// Tiles whose ACA result failed the residual check and were cut from
+    /// their dense fill (see [`crate::compress`]).
+    fallbacks: usize,
 }
 
 /// Summary of the off-diagonal rank distribution (Figure 1's annotation).
@@ -42,13 +45,15 @@ pub struct RankStats {
     pub mean: f64,
     /// Number of off-diagonal (strictly lower) tiles.
     pub tiles: usize,
+    /// Off-diagonal tiles compressed by the dense fallback at assembly.
+    pub fallbacks: usize,
 }
 
 impl TlrMatrix {
     /// Assembles the TLR covariance matrix from a kernel: dense diagonal
     /// tiles, compressed strictly-lower tiles, tiles processed in parallel.
     ///
-    /// `seed` fixes the randomized compressor streams (one split per tile),
+    /// `seed` fixes the residual check's probe rows (one stream per tile),
     /// so assembly is deterministic for any `num_workers`.
     pub fn from_kernel<K: CovarianceKernel>(
         kernel: &K,
@@ -93,9 +98,9 @@ impl TlrMatrix {
             .flat_map(|j| (j + 1..nt).map(move |i| (i, j)))
             .collect();
         let mut low: Vec<LrTile> = vec![LrTile::default(); nt * nt];
-        let results: Vec<Result<LrTile, LinalgError>> = {
+        let results: Vec<Result<Compressed, LinalgError>> = {
             let coords_ref = &coords;
-            let slots: std::sync::Mutex<Vec<Option<Result<LrTile, LinalgError>>>> =
+            let slots: std::sync::Mutex<Vec<Option<Result<Compressed, LinalgError>>>> =
                 std::sync::Mutex::new((0..coords.len()).map(|_| None).collect());
             let slots_ref = &slots;
             parallel_for(num_workers, coords.len(), 1, move |a, b| {
@@ -122,8 +127,11 @@ impl TlrMatrix {
                 .map(|o| o.expect("every tile compressed"))
                 .collect()
         };
+        let mut fallbacks = 0;
         for ((i, j), r) in coords.into_iter().zip(results) {
-            low[j * nt + i] = r?;
+            let c = r?;
+            fallbacks += usize::from(c.fallback);
+            low[j * nt + i] = c.tile;
         }
 
         Ok(TlrMatrix {
@@ -133,6 +141,7 @@ impl TlrMatrix {
             eps,
             diag,
             low,
+            fallbacks,
         })
     }
 
@@ -176,7 +185,8 @@ impl TlrMatrix {
         &mut self.low[j * self.nt + i] as *mut LrTile
     }
 
-    /// Rank statistics over the strictly-lower tiles.
+    /// Rank statistics over the strictly-lower tiles, with the assembly's
+    /// fallback count.
     pub fn rank_stats(&self) -> RankStats {
         let mut min = usize::MAX;
         let mut max = 0usize;
@@ -197,6 +207,7 @@ impl TlrMatrix {
                 max: 0,
                 mean: 0.0,
                 tiles: 0,
+                fallbacks: 0,
             };
         }
         RankStats {
@@ -204,6 +215,7 @@ impl TlrMatrix {
             max,
             mean: sum as f64 / tiles as f64,
             tiles,
+            fallbacks: self.fallbacks,
         }
     }
 
@@ -358,7 +370,7 @@ mod tests {
     #[test]
     fn compression_beats_dense_storage() {
         let k = kernel(200, 0.03, 3);
-        let tlr = TlrMatrix::from_kernel(&k, 25, 1e-7, CompressionMethod::Rsvd, 4, 5).unwrap();
+        let tlr = TlrMatrix::from_kernel(&k, 25, 1e-7, CompressionMethod::Aca, 4, 5).unwrap();
         assert!(
             tlr.compression_ratio() > 1.2,
             "ratio {}",
@@ -372,11 +384,46 @@ mod tests {
         assert_eq!(stats.min, 0);
     }
 
+    /// Σ = [I Pᵀ; P I] with the planted ACA miss `P` as its one
+    /// off-diagonal tile.
+    struct PlantedKernel(Mat);
+
+    impl CovarianceKernel for PlantedKernel {
+        fn len(&self) -> usize {
+            2 * self.0.nrows()
+        }
+
+        fn entry(&self, i: usize, j: usize) -> f64 {
+            let nb = self.0.nrows();
+            match (i / nb, j / nb) {
+                (1, 0) => self.0[(i - nb, j)],
+                (0, 1) => self.0[(j - nb, i)],
+                _ => f64::from(u8::from(i == j)),
+            }
+        }
+    }
+
+    #[test]
+    fn fallback_tiles_are_counted_and_meet_eps() {
+        let nb = 40;
+        let k = PlantedKernel(crate::compress::tests::planted_aca_miss(nb, nb));
+        let eps = 1e-9;
+        let tlr = TlrMatrix::from_kernel(&k, nb, eps, CompressionMethod::Aca, 2, 3).unwrap();
+        assert_eq!(tlr.rank_stats().fallbacks, 1);
+        assert_eq!(tlr.lr(1, 0).rank(), 1);
+        let dense = tlr.to_dense_symmetric();
+        for j in 0..nb {
+            for i in nb..2 * nb {
+                assert!((dense[(i, j)] - k.entry(i, j)).abs() <= eps, "({i},{j})");
+            }
+        }
+    }
+
     #[test]
     fn deterministic_across_worker_counts() {
         let k = kernel(80, 0.1, 4);
-        let a = TlrMatrix::from_kernel(&k, 20, 1e-7, CompressionMethod::Rsvd, 1, 11).unwrap();
-        let b = TlrMatrix::from_kernel(&k, 20, 1e-7, CompressionMethod::Rsvd, 4, 11).unwrap();
+        let a = TlrMatrix::from_kernel(&k, 20, 1e-7, CompressionMethod::Aca, 1, 11).unwrap();
+        let b = TlrMatrix::from_kernel(&k, 20, 1e-7, CompressionMethod::Aca, 4, 11).unwrap();
         let (da, db) = (a.to_dense_symmetric(), b.to_dense_symmetric());
         assert_eq!(da.as_slice(), db.as_slice());
     }

@@ -24,8 +24,20 @@ use exa_util::Rng;
 use exa_wire::{WireClient, WireConfig, WireServer, WireStats};
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
+
+/// Both tests boot a server, and the bounded-thread assertion reads the
+/// process-wide thread count: they run one at a time, so the fleet test never
+/// counts the abuse soak's reactor, serve workers or runtime threads.
+static ONE_SERVER_AT_A_TIME: Mutex<()> = Mutex::new(());
+
+fn one_server_at_a_time() -> MutexGuard<'static, ()> {
+    // A failed sibling poisons the lock; this test still runs on its own.
+    ONE_SERVER_AT_A_TIME
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn fitted(n: usize, seed: u64) -> Arc<FittedModel<MaternKernel>> {
     let rt = Runtime::new(2);
@@ -152,6 +164,7 @@ fn healthz_roundtrip(stream: &mut TcpStream) {
 /// prove they are still live.
 #[test]
 fn reactor_holds_large_idle_keep_alive_fleet_with_bounded_threads() {
+    let _serial = one_server_at_a_time();
     let fleet_size = env_usize("EXA_WIRE_SOAK_CONNS", 256);
     let server = boot(WireConfig {
         max_connections: fleet_size + 64,
@@ -223,6 +236,7 @@ fn reactor_holds_large_idle_keep_alive_fleet_with_bounded_threads() {
 /// serves predictions and has contained zero panics.
 #[test]
 fn abuse_soak_leaves_the_server_healthy() {
+    let _serial = one_server_at_a_time();
     let iters = env_usize("EXA_WIRE_SOAK_ITERS", 2);
     let server = boot(WireConfig::default());
     let addr = server.local_addr();
